@@ -22,16 +22,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .distances import DistanceMatrix, UNREACHABLE
+from .distances import DistanceMatrix, WeightError
 from .graph import Graph, Path
 
 # A sink receives each accepted geodesic exactly once, as its vertex tuple
 # plus total weight.
 Sink = Callable[[tuple[int, ...], int], None]
-
-
-class WeightError(ValueError):
-    """Arc weights outside {1, 2, ...}, which the level recursion needs."""
 
 
 @dataclass

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .apag import fast_apag
-from .distances import DistanceMatrix, distance_matrix_bfs, floyd_warshall
+from .distances import distance_matrix
 from .enumeration import iterate_all_pairs
 from .graph import Graph
 
@@ -107,10 +107,6 @@ def random_graph(cfg: BenchConfig) -> Graph:
         f"no connected instance in {cfg.max_retries} tries (n={cfg.n}, m={cfg.m})")
 
 
-def bench_distance_matrix(g: Graph) -> DistanceMatrix:
-    return floyd_warshall(g) if g.weighted else distance_matrix_bfs(g)
-
-
 def run_benchmark(cfg: BenchConfig, graph: Optional[Graph] = None) -> BenchRow:
     """Time each selected method on one instance with a counting sink.
 
@@ -118,7 +114,7 @@ def run_benchmark(cfg: BenchConfig, graph: Optional[Graph] = None) -> BenchRow:
     random instance. When both methods run their counts must agree.
     """
     g = graph if graph is not None else random_graph(cfg)
-    dw = bench_distance_matrix(g)
+    dw = distance_matrix(g)
     row = BenchRow(n=g.n, m=cfg.m if graph is None else g.arc_count,
                    maxdist=dw.max_finite(), geodesics=0)
     counts = {}

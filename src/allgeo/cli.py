@@ -11,10 +11,10 @@ import sys
 
 import click
 
-from .apag import ApagReport, WeightError, fast_apag
+from .apag import ApagReport, fast_apag
 from .bench import BenchConfig, BenchRow, RetriesExhausted, run_benchmark
 from .distances import (NegativeCycleError, UNREACHABLE, UnreachableError,
-                        distance_matrix, distance_matrix_bfs,
+                        WeightError, distance_matrix, distance_matrix_bfs,
                         distance_matrix_power, floyd_warshall)
 from .enumeration import (EnumerationBound, enumerate_geodesics_st,
                           enumerate_paths_upto, iterate_all_pairs)
@@ -106,7 +106,7 @@ def one(file, s, t):
         path = one_geodesic(g, d, s, t)
     except NegativeCycleError as exc:
         raise click.exceptions.Exit(_fail(str(exc), EXIT_NEGATIVE_CYCLE))
-    except (UnreachableError, GraphFormatError, IndexError) as exc:
+    except (UnreachableError, GraphFormatError) as exc:
         raise click.exceptions.Exit(_fail(str(exc), EXIT_INPUT))
     click.echo(" ".join(str(v) for v in path.vertices))
     click.echo(f"weight {path.weight}")
@@ -143,7 +143,7 @@ def st(file, s, t, maxlen, maxweight, all_paths, jsonl):
             paths = enumerate_geodesics_st(g, d, s, t)
     except NegativeCycleError as exc:
         raise click.exceptions.Exit(_fail(str(exc), EXIT_NEGATIVE_CYCLE))
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise click.exceptions.Exit(_fail(str(exc), EXIT_INPUT))
     for path in paths:
         _print_path(path, jsonl)

@@ -1,9 +1,12 @@
 """Walk counts and distance matrices.
 
-Three routes to the distance matrix: adjacency-matrix powers (walk counting
+Four routes to the distance matrix: adjacency-matrix powers (walk counting
 with exact big integers), per-source BFS (the engineering baseline used as a
-cross-check), and Floyd-Warshall for weighted digraphs, including negative
-weights as long as no directed circuit has negative total weight.
+cross-check), per-source Dial bucket queue for positive integer weights
+(unweighted graphs included), and Floyd-Warshall for any exact weights,
+including negative ones as long as no directed circuit has negative total
+weight. distance_matrix picks Dial when it applies and Floyd-Warshall
+otherwise.
 
 Unreachable pairs are marked with UNREACHABLE (float infinity): it compares
 exactly against ints and Fractions and never collides with a real distance.
@@ -30,6 +33,10 @@ class NegativeCycleError(ValueError):
 
 class UnreachableError(ValueError):
     """An operation required a finite distance for an unreachable pair."""
+
+
+class WeightError(ValueError):
+    """Arc weights outside {1, 2, ...}, which Dial and the level recursion need."""
 
 
 class DistanceMatrix:
@@ -207,8 +214,95 @@ def floyd_warshall(g: Graph) -> DistanceMatrix:
     return DistanceMatrix(n, dist)
 
 
+def _positive_int_max_weight(g: Graph) -> int | None:
+    """Largest arc weight (1 with no arcs) if every weight is a positive int,
+    else None."""
+    if not g.weighted:
+        return 1
+    mu = 1
+    for u in range(1, g.n + 1):
+        for _, w in g.neighbors(u):
+            if not isinstance(w, int) or w < 1:
+                return None
+            if w > mu:
+                mu = w
+    return mu
+
+
+def distance_matrix_dial(g: Graph) -> DistanceMatrix:
+    """Positive-integer distances by Dial's bucket queue from every source.
+
+    R. Dial, "Algorithm 360: Shortest-path forest with topological
+    ordering", CACM 12(11), 1969. Tentative distances d..d+mu fit a cyclic
+    window of mu+1 buckets (mu the largest arc weight), so bucket d is
+    complete when it is reached; an entry whose vertex has since moved to a
+    smaller bucket is stale and skipped. A source is done after mu
+    consecutive empty buckets. With mu = 1 this is breadth-first search.
+    Time is O(m + largest distance) per source, so large mu is slow.
+    Raises WeightError unless every weight is a positive int.
+    """
+    mu = _positive_int_max_weight(g)
+    if mu is None:
+        raise WeightError("Dial needs positive integer arc weights")
+    n = g.n
+    # per vertex, its out-neighbors grouped as (weight, ascending ids), so one
+    # bucket lookup serves a whole group
+    groups: list[list[tuple[int, list[int]]]] = [[]]
+    for u in range(1, n + 1):
+        by_w: dict[int, list[int]] = {}
+        for v, w in g.neighbors(u):
+            by_w.setdefault(w, []).append(v)
+        groups.append(list(by_w.items()))
+    size = mu + 1
+    # Larger than any distance ((n-1)*mu at most) and, for moderate n*mu, a
+    # small int, which compares faster than UNREACHABLE in the inner loop.
+    far = n * mu
+    out = [[UNREACHABLE] * (n + 1)]
+    for s in range(1, n + 1):
+        row = [far] * (n + 1)
+        row[s] = 0
+        buckets: list[list[int]] = [[] for _ in range(size)]
+        buckets[0].append(s)
+        d = 0
+        empty_run = 0
+        while empty_run < mu:
+            slot = d % size
+            bucket = buckets[slot]
+            if bucket:
+                empty_run = 0
+                buckets[slot] = []
+                for u in bucket:
+                    if row[u] != d:
+                        continue  # stale: u was settled in an earlier bucket
+                    for w, vs in groups[u]:
+                        nd = d + w
+                        target = buckets[nd % size]
+                        for v in vs:
+                            if nd < row[v]:
+                                row[v] = nd
+                                target.append(v)
+            else:
+                empty_run += 1
+            d += 1
+        # every entry still at far is unreachable (index 0 is padding)
+        i = -1
+        for _ in range(row.count(far)):
+            i = row.index(far, i + 1)
+            row[i] = UNREACHABLE
+        out.append(row)
+    return DistanceMatrix(n, out)
+
+
 def distance_matrix(g: Graph) -> DistanceMatrix:
-    """Distance matrix by the cheapest applicable method."""
-    if g.weighted:
-        return floyd_warshall(g)
-    return distance_matrix_bfs(g)
+    """Distance matrix by the cheapest applicable method.
+
+    Dial's bucket queue when every arc weight is a positive int (unweighted
+    graphs included) and the largest weight mu is at most n; Floyd-Warshall
+    otherwise: for rational, zero or negative weights, where it raises
+    NegativeCycleError on a negative directed circuit, and for mu > n, where
+    Dial's O(n*m + n*n*mu) is no longer below Floyd-Warshall's O(n**3).
+    """
+    mu = _positive_int_max_weight(g)
+    if mu is not None and mu <= g.n:
+        return distance_matrix_dial(g)
+    return floyd_warshall(g)

@@ -48,6 +48,8 @@ def enumerate_paths_upto(g: Graph, s: int, t: int,
 
     An empty result is a valid answer (e.g. the bound is below the distance).
     """
+    g.check_vertex(s)
+    g.check_vertex(t)
     if s == t:
         raise ValueError("source and sink must differ")
     by_length = bound.kind == "length"
@@ -103,6 +105,8 @@ def enumerate_geodesics_st(g: Graph, D: DistanceMatrix, s: int, t: int) -> list[
 
     Returns [(s)] for s = t and [] when t is unreachable from s.
     """
+    g.check_vertex(s)
+    g.check_vertex(t)
     return list(_geodesics_stream(g, D, s, t))
 
 

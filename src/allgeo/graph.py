@@ -76,6 +76,11 @@ class Graph:
 
     # -- queries ----------------------------------------------------------
 
+    def check_vertex(self, v: int) -> None:
+        """Raise GraphFormatError unless v is a vertex id (1..n)."""
+        if not (1 <= v <= self.n):
+            raise GraphFormatError(f"vertex id {v} out of range")
+
     def neighbors(self, v: int) -> list[tuple[int, Weight]]:
         """Out-neighbors of v with arc weights, ascending by vertex id."""
         if not (1 <= v <= self.n):

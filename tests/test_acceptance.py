@@ -10,7 +10,7 @@ import time
 import pytest
 
 from allgeo import (BenchConfig, NegativeCycleError, collect_levels,
-                    distance_matrix, distance_matrix_bfs,
+                    distance_matrix, distance_matrix_bfs, distance_matrix_dial,
                     distance_matrix_power, fast_apag, floyd_warshall,
                     iterate_all_pairs, parse_graph, partition_by_endpoints,
                     random_graph, walk_counts)
@@ -101,11 +101,12 @@ def test_criterion_4_distance_method_agreement():
         power = distance_matrix_power(g).distances
         bfs = distance_matrix_bfs(g)
         fw = floyd_warshall(g)
-        assert power == bfs == fw
+        dial = distance_matrix_dial(g)
+        assert power == bfs == fw == dial
         done += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 30
-    ok(f"criterion 4: power = BFS = Floyd-Warshall on {done} connected "
+    ok(f"criterion 4: power = BFS = Floyd-Warshall = Dial on {done} connected "
        f"graphs (exact, {elapsed:.1f}s < 30s)")
 
 

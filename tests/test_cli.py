@@ -1,8 +1,13 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
+import pytest
 from click.testing import CliRunner
 
+import allgeo
 from allgeo.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -53,6 +58,48 @@ def test_one_g2():
 def test_one_unreachable():
     res = run("one", G2, "3", "1")
     assert res.exit_code == 1
+
+
+def run_subprocess(*args):
+    """Run the CLI in a child process that is killed after 10 s."""
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(allgeo.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "allgeo.cli", *args],
+                          capture_output=True, text=True, timeout=10, env=env)
+
+
+def test_one_zero_weight_cycle_terminates(tmp_path):
+    f = tmp_path / "zero.txt"
+    f.write_text("3 2 undirected weighted\n1 2 0\n2 3 1\n")
+    res = run_subprocess("one", str(f), "2", "3")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["2 3", "weight 1"]
+
+
+def test_one_negative_arc_cycle_terminates(tmp_path):
+    f = tmp_path / "neg.txt"
+    f.write_text("3 3 directed weighted\n1 2 -1\n2 1 1\n2 3 1\n")
+    res = run_subprocess("one", str(f), "1", "3")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["1 2 3", "weight 0"]
+
+
+def write_p4(tmp_path):
+    f = tmp_path / "p4.txt"
+    f.write_text("4 3 undirected unweighted\n1 2\n2 3\n3 4\n")
+    return str(f)
+
+
+@pytest.mark.parametrize("cmd,s,t,bad", [
+    ("st", "4", "0", "0"),
+    ("st", "0", "4", "0"),
+    ("st", "1", "5", "5"),
+    ("one", "2", "0", "0"),
+])
+def test_vertex_id_out_of_range(tmp_path, cmd, s, t, bad):
+    res = run(cmd, write_p4(tmp_path), s, t)
+    assert res.exit_code == 1
+    assert res.output == f"error: vertex id {bad} out of range\n"
 
 
 def test_st_geodesics():

@@ -1,10 +1,15 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from allgeo import (NegativeCycleError, UNREACHABLE, distance_matrix_bfs,
-                    distance_matrix_power, floyd_warshall, parse_graph,
-                    walk_counts)
+from allgeo import (BenchConfig, Graph, NegativeCycleError, UNREACHABLE,
+                    WeightError, distance_matrix, distance_matrix_bfs,
+                    distance_matrix_dial, distance_matrix_power,
+                    floyd_warshall, parse_graph, random_graph, walk_counts)
+from allgeo import distances
 from allgeo.oracle import brute_force_distance
 from conftest import random_test_graph
 
@@ -174,3 +179,112 @@ def test_distance_before_first_nonzero_walk_count():
             assert walk_counts(g, dist).entry(x, y) >= 1
             for j in range(1, dist):
                 assert walk_counts(g, j).entry(x, y) == 0
+
+
+def test_dial_matches_fw_random():
+    rng = random.Random(2)
+    unreachable_seen = 0
+    for directed in (False, True):
+        for wmax in (2, 5):
+            for _ in range(10):
+                n = rng.randint(2, 30)
+                # m from well below n-1 (never connected) up to about 3n
+                g = random_test_graph(rng, n, rng.randint(0, 3 * n),
+                                      directed, wmax)
+                dial = distance_matrix_dial(g)
+                assert dial == floyd_warshall(g)
+                unreachable_seen += sum(row[1:].count(UNREACHABLE)
+                                        for row in dial.rows[1:])
+    assert unreachable_seen > 0
+
+
+def test_dial_unweighted_matches_bfs():
+    rng = random.Random(3)
+    for directed in (False, True):
+        for _ in range(10):
+            n = rng.randint(2, 40)
+            g = random_test_graph(rng, n, rng.randint(0, 3 * n), directed)
+            assert distance_matrix_dial(g) == distance_matrix_bfs(g)
+
+
+@st.composite
+def positive_int_graphs(draw):
+    n = draw(st.integers(1, 8))
+    directed = draw(st.booleans())
+    # v is drawn from the n-1 ids other than u, so there are no self-loops
+    pairs = set() if n == 1 else draw(st.sets(
+        st.tuples(st.integers(1, n), st.integers(1, n - 1))
+        .map(lambda p: (p[0], p[1] + (p[1] >= p[0]))), max_size=20))
+    if not directed:
+        pairs = {(min(u, v), max(u, v)) for u, v in pairs}
+    arcs = [(u, v, draw(st.integers(1, 6))) for u, v in sorted(pairs)]
+    return Graph(n, directed, True, arcs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(positive_int_graphs())
+def test_dial_equals_fw_property(g):
+    assert distance_matrix_dial(g) == floyd_warshall(g)
+
+
+def test_dial_benchmark_instances():
+    desk = random_graph(BenchConfig(n=1000, m=4000, seed=2026))
+    assert distance_matrix_dial(desk) == distance_matrix_bfs(desk)
+    weighted = random_graph(BenchConfig(n=150, m=600, seed=2026,
+                                        directed=True, wmax=5))
+    dial = distance_matrix_dial(weighted)
+    assert dial == floyd_warshall(weighted)
+    # exact: ints everywhere except the UNREACHABLE marker
+    assert all(type(x) is int or x == UNREACHABLE
+               for row in dial.rows for x in row)
+
+
+@pytest.mark.parametrize("text", [
+    "3 2 directed weighted\n1 2 3/2\n2 3 1",
+    "3 2 undirected weighted\n1 2 0\n2 3 1",
+    "3 2 directed weighted\n1 2 2\n2 3 -1",
+])
+def test_dial_rejects_non_positive_int_weights(text):
+    with pytest.raises(WeightError):
+        distance_matrix_dial(parse_graph(text))
+
+
+def test_dispatcher_rational_weights_use_fw():
+    g = parse_graph("3 3 directed weighted\n1 2 3/2\n2 3 3/2\n1 3 4")
+    d = distance_matrix(g)
+    assert d == floyd_warshall(g)
+    assert d.dist(1, 3) == Fraction(3)
+
+
+def test_dispatcher_zero_weights_use_fw():
+    g = parse_graph("4 3 undirected weighted\n1 2 0\n2 3 1\n3 4 0")
+    d = distance_matrix(g)
+    assert d == floyd_warshall(g)
+    assert d.dist(1, 4) == 1 and d.dist(1, 2) == 0
+
+
+def test_dispatcher_negative_cycle_raises():
+    g = parse_graph("3 3 directed weighted\n1 2 1\n2 3 1\n3 1 -3")
+    with pytest.raises(NegativeCycleError):
+        distance_matrix(g)
+
+
+def forbid(monkeypatch, name):
+    def fail(_):
+        raise AssertionError(f"distance_matrix should not call {name}")
+
+    monkeypatch.setattr(distances, name, fail)
+
+
+def test_dispatcher_positive_int_weights_use_dial(g2, monkeypatch):
+    expected = floyd_warshall(g2)
+    forbid(monkeypatch, "floyd_warshall")
+    assert distance_matrix(g2) == expected
+
+
+def test_dispatcher_weights_above_n_use_fw(monkeypatch):
+    # mu = 50 > n = 3: Dial would scan a window of 51 buckets per source
+    g = parse_graph("3 3 directed weighted\n1 2 40\n2 3 50\n1 3 100")
+    assert distance_matrix_dial(g) == floyd_warshall(g)
+    forbid(monkeypatch, "distance_matrix_dial")
+    assert distance_matrix(g).dist(1, 3) == 90

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from allgeo import (EnumerationBound, distance_matrix, enumerate_geodesics_st,
-                    enumerate_paths_upto, iterate_all_pairs)
+from allgeo import (EnumerationBound, GraphFormatError, distance_matrix,
+                    enumerate_geodesics_st, enumerate_paths_upto,
+                    iterate_all_pairs)
 from allgeo.oracle import brute_force_all_paths
 from conftest import random_test_graph, vertex_names
 
@@ -128,3 +129,12 @@ def test_iterate_all_pairs_k3(k3):
 def test_iterate_all_pairs_g2(g2):
     d = distance_matrix(g2)
     assert sum(1 for _ in iterate_all_pairs(g2, d)) == 23
+
+
+@pytest.mark.parametrize("s,t,bad", [(0, 2, 0), (2, 0, 0), (1, 4, 4)])
+def test_vertex_ids_validated(p3, s, t, bad):
+    message = f"vertex id {bad} out of range"
+    with pytest.raises(GraphFormatError, match=message):
+        enumerate_geodesics_st(p3, distance_matrix(p3), s, t)
+    with pytest.raises(GraphFormatError, match=message):
+        enumerate_paths_upto(p3, s, t, EnumerationBound.length(3))

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from allgeo import (UNREACHABLE, UnreachableError, distance_matrix,
-                    enumerate_geodesics_st, one_geodesic)
+from allgeo import (GraphFormatError, UNREACHABLE, UnreachableError,
+                    distance_matrix, enumerate_geodesics_st, one_geodesic,
+                    parse_graph)
 from conftest import random_test_graph
 
 
@@ -51,3 +52,22 @@ def test_weight_matches_matrix_and_membership():
                     assert d.rows[v][t] == rem - w
                     rem -= w
                 assert p in enumerate_geodesics_st(g, d, s, t)
+
+
+def test_zero_weight_tight_cycle_backtracks():
+    # 2 -> 1 is tight (0 + D(1,3) = D(2,3)) but leads back to 2 only
+    g = parse_graph("3 2 undirected weighted\n1 2 0\n2 3 1")
+    p = one_geodesic(g, distance_matrix(g), 2, 3)
+    assert p.vertices == (2, 3) and p.weight == 1
+
+
+def test_negative_arc_tight_cycle():
+    g = parse_graph("3 3 directed weighted\n1 2 -1\n2 1 1\n2 3 1")
+    p = one_geodesic(g, distance_matrix(g), 1, 3)
+    assert p.vertices == (1, 2, 3) and p.weight == 0
+
+
+@pytest.mark.parametrize("s,t", [(0, 2), (2, 0), (1, 4)])
+def test_vertex_ids_validated(p3, s, t):
+    with pytest.raises(GraphFormatError, match="out of range"):
+        one_geodesic(p3, distance_matrix(p3), s, t)
