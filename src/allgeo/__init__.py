@@ -7,8 +7,8 @@ enumerator (allgeo.apag), a brute-force oracle (allgeo.oracle) and a seeded
 benchmark harness (allgeo.bench).
 """
 
-from .apag import (ApagReport, GeoLevel, collect_levels, fast_apag,
-                   partition_by_endpoints)
+from .apag import (ApagReport, GeoLevel, check_weights, collect_levels,
+                   fast_apag, partition_by_endpoints)
 from .bench import BenchConfig, BenchRow, random_graph, run_benchmark
 from .distances import (CountMatrix, DistanceMatrix, NegativeCycleError,
                         PowerMethodResult, UNREACHABLE, UnreachableError,
@@ -29,7 +29,7 @@ __all__ = [
     "NegativeCycleError", "Path", "PathError", "PowerMethodResult",
     "SizeCapExceeded", "UNREACHABLE", "UnreachableError", "WeightError",
     "brute_force_all_paths", "brute_force_distance", "brute_force_geodesics",
-    "collect_levels", "distance_matrix", "distance_matrix_bfs",
+    "check_weights", "collect_levels", "distance_matrix", "distance_matrix_bfs",
     "distance_matrix_dial", "distance_matrix_power", "enumerate_geodesics_st", "enumerate_paths_upto",
     "fast_apag", "floyd_warshall", "iterate_all_pairs", "one_geodesic",
     "parse_graph", "partition_by_endpoints", "random_graph", "run_benchmark",

@@ -18,8 +18,10 @@ later level is empty too. Requires positive integer weights.
 
 from __future__ import annotations
 
-from collections import Counter
+from array import array
+from collections.abc import Iterator, Mapping, ValuesView
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 from .distances import DistanceMatrix, WeightError
@@ -41,15 +43,68 @@ class GeoLevel:
         return len(self.geodesics)
 
 
+class PairCounts(Mapping):
+    """Read-only (s, t) -> geodesic count view over a flat table.
+
+    Entry s*(n+1) + t of the table holds the count of (s, t); pairs with no
+    geodesic, and pairs outside 1..n, read 0 and are not keys. Iteration is
+    in (s, t) order.
+    """
+
+    __slots__ = ("n", "_flat")
+
+    def __init__(self, n: int, flat: list[int]):
+        self.n = n
+        self._flat = flat
+
+    def __getitem__(self, pair: tuple[int, int]) -> int:
+        s, t = pair
+        n = self.n
+        if 1 <= s <= n and 1 <= t <= n:
+            return self._flat[s * (n + 1) + t]
+        return 0
+
+    def __contains__(self, pair) -> bool:
+        return self[pair] > 0
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        for s, row in self.rows():
+            for t, c in enumerate(row):
+                if c:
+                    yield (s, t)
+
+    def __len__(self) -> int:
+        return len(self._flat) - self._flat.count(0)
+
+    def values(self) -> ValuesView:
+        return _NonzeroValues(self)
+
+    def rows(self) -> Iterator[tuple[int, list[int]]]:
+        """Yield (s, row) for s = 1..n, where row[t] is the count of (s, t)."""
+        stride = self.n + 1
+        flat = self._flat
+        for s in range(1, stride):
+            yield s, flat[s * stride:(s + 1) * stride]
+
+
+class _NonzeroValues(ValuesView):
+    # The generic view looks up every key; the table can be read directly.
+    def __iter__(self):
+        return (c for c in self._mapping._flat if c)
+
+
 @dataclass
 class ApagReport:
     total_count: int
-    per_pair_counts: Counter  # (s, t) -> number of s-t geodesics
+    per_pair_counts: Mapping[tuple[int, int], int]  # (s, t) -> s-t geodesics
     levels_built: int
     max_level_nonempty: int
 
     def __post_init__(self):
-        assert self.total_count == sum(self.per_pair_counts.values())
+        pair_sum = sum(self.per_pair_counts.values())
+        if self.total_count != pair_sum:
+            raise ValueError(f"total_count {self.total_count} differs from the "
+                             f"sum of per-pair counts {pair_sum}")
 
 
 @dataclass
@@ -60,7 +115,8 @@ class _Collector:
         self.by_weight.setdefault(weight, []).append(Path(verts, weight))
 
 
-def _check_weights(g: Graph) -> None:
+def check_weights(g: Graph) -> None:
+    """Raise WeightError unless every arc weight is a positive int."""
     for _, _, w in g.arcs():
         if not isinstance(w, int):
             raise WeightError(f"non-integer arc weight {w!r}")
@@ -75,7 +131,10 @@ def fast_apag(g: Graph, Dw: DistanceMatrix, sink: Optional[Sink] = None, *,
     """Enumerate every geodesic of g by building weight levels.
 
     Dw must be the correct weighted distance matrix of g. Each geodesic is
-    forwarded to the sink exactly once. window_hook, if given, is called
+    forwarded to the sink exactly once. Without a sink (and without
+    check_simplicity) only counts are wanted, so a level keeps just the
+    source and last vertex of each geodesic, the two things an extension
+    reads, and no vertex tuple is built. window_hook, if given, is called
     after each level with (k, retained level indices) so tests can verify
     the sliding-window memory contract; keep_all_levels disables eviction
     for debug comparisons.
@@ -84,14 +143,15 @@ def fast_apag(g: Graph, Dw: DistanceMatrix, sink: Optional[Sink] = None, *,
     (a repeat would contradict Dw(s, c) = k), so simplicity is not re-checked
     unless check_simplicity is set.
     """
-    _check_weights(g)
+    check_weights(g)
     n = g.n
-    rows = Dw.rows
-    per_pair: Counter = Counter()
+    stride = n + 1
+    per_pair = [0] * (stride * stride)
+    counts = PairCounts(n, per_pair)
     total = 0
 
     if g.arc_count == 0:
-        return ApagReport(0, per_pair, 0, 0)
+        return ApagReport(0, counts, 0, 0)
 
     mu = g.max_arc_weight()
     # Arcs bucketed by weight, both as seeds and as per-vertex extension
@@ -102,39 +162,29 @@ def fast_apag(g: Graph, Dw: DistanceMatrix, sink: Optional[Sink] = None, *,
         seeds.setdefault(w, []).append((u, v))
         out_by_weight[u].setdefault(w, []).append(v)
 
+    if sink is None and not check_simplicity:
+        build = _pair_level
+    else:
+        build = partial(_tuple_level, check_simplicity=check_simplicity)
     max_finite = Dw.max_finite()
-    levels: dict[int, list[tuple[int, ...]]] = {}
+    levels: dict = {}
     empty_run = 0
     k = 0
     max_nonempty = 0
     while empty_run < mu:
         k += 1
-        level: list[tuple[int, ...]] = []
-        for h in range(k - 1, max(k - mu, 0) - 1, -1):
-            w_need = k - h
-            if h == 0:
-                for s, t in seeds.get(k, ()):
-                    if rows[s][t] == k:
-                        level.append((s, t))
-                continue
-            for q in levels.get(h, ()):
-                s = q[0]
-                row_s = rows[s]
-                by_w = out_by_weight[q[-1]]
-                for c in by_w.get(w_need, ()):
-                    if row_s[c] == k:
-                        if check_simplicity:
-                            assert c not in q, (q, c)
-                        level.append(q + (c,))
-        for verts in level:
-            per_pair[(verts[0], verts[-1])] += 1
-            if sink is not None:
+        level, size = build(k, mu, levels, seeds.get(k, ()), out_by_weight,
+                            Dw.rows, per_pair, stride)
+        if sink is not None:
+            for verts in level:
                 sink(verts, k)
-        total += len(level)
-        if level:
+        total += size
+        if size:
             max_nonempty = k
             empty_run = 0
-            assert k <= max_finite, "nonempty level beyond the largest distance"
+            if k > max_finite:
+                raise ValueError(f"nonempty level {k} beyond the largest "
+                                 f"distance {max_finite}: Dw is not g's")
         else:
             empty_run += 1
         levels[k] = level
@@ -143,9 +193,74 @@ def fast_apag(g: Graph, Dw: DistanceMatrix, sink: Optional[Sink] = None, *,
         if window_hook is not None:
             window_hook(k, sorted(levels))
         # The empty-run rule and the distance bound must agree.
-        assert k <= max_finite + mu
+        if k > max_finite + mu:
+            raise ValueError(f"level {k} built past the largest distance "
+                             f"{max_finite} plus mu {mu}")
 
-    return ApagReport(total, per_pair, k, max_nonempty)
+    return ApagReport(total, counts, k, max_nonempty)
+
+
+# One function per level representation. Both extend every retained level
+# h = k-1 down to max(k-mu, 1) along the out-arcs of weight k-h, then add the
+# arcs of weight k as one-arc geodesics (seeds is empty once k > mu), and
+# count each accepted geodesic into per_pair[s*stride + t]. They return the
+# new level and its size.
+
+def _tuple_level(k, mu, levels, seeds, out_by_weight, rows, per_pair, stride,
+                 check_simplicity):
+    """Level as a list of vertex tuples."""
+    level: list[tuple[int, ...]] = []
+    add = level.append
+    for h in range(k - 1, max(k - mu, 1) - 1, -1):
+        w_need = k - h
+        for q in levels.get(h, ()):
+            cs = out_by_weight[q[-1]].get(w_need)
+            if cs is None:
+                continue
+            s = q[0]
+            row_s = rows[s]
+            base = s * stride
+            for c in cs:
+                if row_s[c] == k:
+                    if check_simplicity and c in q:
+                        raise ValueError(f"geodesic {q} revisits {c}")
+                    add(q + (c,))
+                    per_pair[base + c] += 1
+    for s, t in seeds:
+        if rows[s][t] == k:
+            add((s, t))
+            per_pair[s * stride + t] += 1
+    return level, len(level)
+
+
+def _pair_level(k, mu, levels, seeds, out_by_weight, rows, per_pair, stride):
+    """Level as two int arrays: sources and last vertices."""
+    sources = array("i")
+    lasts = array("i")
+    add_s = sources.append
+    add_t = lasts.append
+    for h in range(k - 1, max(k - mu, 1) - 1, -1):
+        prev = levels.get(h)
+        if prev is None:
+            continue
+        w_need = k - h
+        for s, b in zip(*prev):
+            cs = out_by_weight[b].get(w_need)
+            if cs is None:
+                continue
+            row_s = rows[s]
+            base = s * stride
+            for c in cs:
+                if row_s[c] == k:
+                    add_s(s)
+                    add_t(c)
+                    per_pair[base + c] += 1
+    for s, t in seeds:
+        if rows[s][t] == k:
+            add_s(s)
+            add_t(t)
+            per_pair[s * stride + t] += 1
+    return (sources, lasts), len(sources)
 
 
 def collect_levels(g: Graph, Dw: DistanceMatrix, **kwargs) -> list[GeoLevel]:

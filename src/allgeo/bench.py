@@ -127,7 +127,9 @@ def run_benchmark(cfg: BenchConfig, graph: Optional[Graph] = None) -> BenchRow:
         start = time.perf_counter()
         report = fast_apag(g, dw, counting_sink)
         row.t_apag_s = time.perf_counter() - start
-        assert hits[0] == report.total_count
+        if hits[0] != report.total_count:
+            raise RuntimeError(f"sink saw {hits[0]} geodesics, report says "
+                               f"{report.total_count}")
         counts["apag"] = report.total_count
     if "pairs" in cfg.methods:
         start = time.perf_counter()
@@ -136,6 +138,7 @@ def run_benchmark(cfg: BenchConfig, graph: Optional[Graph] = None) -> BenchRow:
         counts["pairs"] = total
     if len(counts) == 2:
         row.agree = counts["apag"] == counts["pairs"]
-        assert row.agree, f"method disagreement: {counts}"
+        if not row.agree:
+            raise RuntimeError(f"method disagreement: {counts}")
     row.geodesics = next(iter(counts.values())) if counts else 0
     return row

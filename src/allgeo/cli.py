@@ -11,11 +11,12 @@ import sys
 
 import click
 
-from .apag import ApagReport, fast_apag
+from .apag import ApagReport, check_weights, fast_apag
 from .bench import BenchConfig, BenchRow, RetriesExhausted, run_benchmark
 from .distances import (NegativeCycleError, UNREACHABLE, UnreachableError,
                         WeightError, distance_matrix, distance_matrix_bfs,
-                        distance_matrix_power, floyd_warshall)
+                        distance_matrix_dial, distance_matrix_power,
+                        floyd_warshall)
 from .enumeration import (EnumerationBound, enumerate_geodesics_st,
                           enumerate_paths_upto, iterate_all_pairs)
 from .graph import Graph, GraphFormatError, parse_graph
@@ -62,15 +63,20 @@ def main():
 
 @main.command()
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--method", type=click.Choice(["power", "bfs", "fw"]), default="bfs",
-              show_default=True)
+@click.option("--method", type=click.Choice(["auto", "dial", "power", "bfs", "fw"]),
+              default="auto", show_default=True,
+              help="auto: Dial for positive integer weights, else Floyd-Warshall.")
 @click.option("--format", "fmt", type=click.Choice(["tsv", "json"]), default="tsv",
               show_default=True)
 def dist(file, method, fmt):
     """Print the distance matrix (inf marks unreachable pairs)."""
     g = _load(file)
     try:
-        if method == "fw":
+        if method == "auto":
+            d = distance_matrix(g)
+        elif method == "dial":
+            d = distance_matrix_dial(g)
+        elif method == "fw":
             d = floyd_warshall(g)
         elif method == "power":
             if g.weighted:
@@ -84,6 +90,8 @@ def dist(file, method, fmt):
             d = distance_matrix_bfs(g)
     except NegativeCycleError as exc:
         raise click.exceptions.Exit(_fail(str(exc), EXIT_NEGATIVE_CYCLE))
+    except WeightError as exc:
+        raise click.exceptions.Exit(_fail(str(exc), EXIT_INPUT))
     entries = [[d.rows[u][v] for v in range(1, g.n + 1)] for u in range(1, g.n + 1)]
     if fmt == "json":
         click.echo(json.dumps([["inf" if e == UNREACHABLE else _json_weight(e)
@@ -174,7 +182,10 @@ def apag(file, out, show_levels, counts_only):
     """Enumerate every geodesic by weight levels."""
     g = _load(file)
     try:
+        check_weights(g)
         dw = distance_matrix(g)
+    except WeightError as exc:
+        raise click.exceptions.Exit(_fail(str(exc), EXIT_INPUT))
     except NegativeCycleError as exc:
         raise click.exceptions.Exit(_fail(str(exc), EXIT_NEGATIVE_CYCLE))
 
@@ -191,10 +202,10 @@ def apag(file, out, show_levels, counts_only):
         elif not counts_only and out_fh is None:
             click.echo(" ".join(str(v) for v in verts))
 
+    # A counts-only run materialises no geodesic: fast_apag's count path.
+    wants_paths = out_fh is not None or show_levels or not counts_only
     try:
-        report = fast_apag(g, dw, sink)
-    except WeightError as exc:
-        raise click.exceptions.Exit(_fail(str(exc), EXIT_INPUT))
+        report = fast_apag(g, dw, sink if wants_paths else None)
     finally:
         if out_fh is not None:
             out_fh.close()
@@ -206,16 +217,32 @@ def apag(file, out, show_levels, counts_only):
             for verts in paths:
                 click.echo(" ".join(str(v) for v in verts))
     if counts_only or out or show_levels:
-        click.echo(json.dumps(_report_json(report)))
+        _write_report(report)
 
 
-def _report_json(report: ApagReport) -> dict:
-    return {
-        "total": report.total_count,
-        "levels_built": report.levels_built,
-        "max_level_nonempty": report.max_level_nonempty,
-        "pairs": {f"{s},{t}": c for (s, t), c in sorted(report.per_pair_counts.items())},
-    }
+def _write_report(report: ApagReport) -> None:
+    """Print the report as one JSON line, one write per source row.
+
+    The bytes equal json.dumps of {"total", "levels_built",
+    "max_level_nonempty", "pairs": {"s,t": count}} with pairs in (s, t)
+    order, without ever holding the whole line.
+    """
+    click.echo(f'{{"total": {report.total_count}, '
+               f'"levels_built": {report.levels_built}, '
+               f'"max_level_nonempty": {report.max_level_nonempty}, '
+               f'"pairs": {{', nl=False)
+    counts = report.per_pair_counts
+    # key tails 't": ' shared by every row
+    tails = [f'{t}": ' for t in range(counts.n + 1)]
+    sep = ""
+    for s, row in counts.rows():
+        head = f'"{s},'
+        chunk = ", ".join([f"{head}{tails[t]}{c}"
+                           for t, c in enumerate(row) if c])
+        if chunk:
+            click.echo(sep + chunk, nl=False)
+            sep = ", "
+    click.echo("}}")
 
 
 @main.command()

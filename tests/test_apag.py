@@ -1,10 +1,17 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
+from collections import Counter
 
 import pytest
 
-from allgeo import (Graph, WeightError, collect_levels, distance_matrix,
-                    fast_apag, iterate_all_pairs, parse_graph,
-                    partition_by_endpoints, walk_counts)
+import allgeo
+from allgeo import (BenchConfig, Graph, WeightError, check_weights,
+                    collect_levels, distance_matrix, fast_apag,
+                    iterate_all_pairs, parse_graph, partition_by_endpoints,
+                    random_graph, walk_counts)
 from allgeo.distances import UNREACHABLE
 from allgeo.oracle import brute_force_geodesics
 from conftest import random_test_graph, vertex_names
@@ -72,6 +79,8 @@ def test_rejects_bad_weights():
     g = parse_graph("2 1 directed weighted\n1 2 -1")
     with pytest.raises(WeightError):
         fast_apag(g, distance_matrix(g))
+    with pytest.raises(WeightError, match="non-positive arc weight 0"):
+        check_weights(parse_graph("2 1 directed weighted\n1 2 0"))
 
 
 def test_partition_g2_level4(g2):
@@ -177,3 +186,110 @@ def test_termination_unweighted_first_empty_level():
     # mu = 1: exactly one trailing empty level is built
     assert report.levels_built == report.max_level_nonempty + 1
     assert report.max_level_nonempty == d.max_finite()
+
+
+def emitted_pair_counts(g, d):
+    """Tuple-path report plus a Counter of the emitted endpoint pairs."""
+    emitted = Counter()
+    report = fast_apag(g, d, lambda v, w: emitted.update([(v[0], v[-1])]))
+    return report, emitted
+
+
+def assert_same_report(a, b):
+    assert (a.total_count, a.levels_built, a.max_level_nonempty) == \
+        (b.total_count, b.levels_built, b.max_level_nonempty)
+    assert dict(a.per_pair_counts) == dict(b.per_pair_counts)
+
+
+def test_count_path_equals_tuple_path():
+    rng = random.Random(111)
+    for i in range(60):
+        directed = i % 2 == 1
+        wmax = 1 + i % 5
+        n = rng.randint(2, 12)
+        # m < n - 1 guarantees a disconnected graph; some runs have no arcs
+        m = rng.randint(0, n - 2) if i % 4 == 0 else rng.randint(n, 3 * n)
+        g = random_test_graph(rng, n, m, directed, wmax)
+        d = distance_matrix(g)
+        counted = fast_apag(g, d)
+        emitted_report, emitted = emitted_pair_counts(g, d)
+        assert_same_report(counted, emitted_report)
+        assert dict(counted.per_pair_counts) == emitted
+        mu = g.max_arc_weight() if g.arc_count else 1
+        retained = []
+        windowed = fast_apag(g, d, window_hook=lambda k, kept:
+                             retained.append(list(kept)))
+        assert_same_report(windowed, counted)
+        assert all(len(kept) <= mu for kept in retained)
+        assert_same_report(fast_apag(g, d, keep_all_levels=True), counted)
+
+
+def sigma_counts(g, d):
+    """Number of geodesics per ordered pair by path counting over Dw.
+
+    sigma(s, v) sums sigma(s, u) over the tight in-arcs (u, v), taking
+    vertices in order of distance from s (Brandes 2001).
+    """
+    ins = [[] for _ in range(g.n + 1)]
+    for u, v, w in g.arcs():
+        ins[v].append((u, w))
+    counts = {}
+    for s in range(1, g.n + 1):
+        row = d.rows[s]
+        sigma = [0] * (g.n + 1)
+        sigma[s] = 1
+        order = sorted((row[v], v) for v in range(1, g.n + 1)
+                       if v != s and row[v] != UNREACHABLE)
+        for dist, v in order:
+            sigma[v] = sum(sigma[u] for u, w in ins[v] if row[u] + w == dist)
+            counts[(s, v)] = sigma[v]
+    return counts
+
+
+def test_count_path_at_scale_weighted_directed():
+    # The seed-2026 weighted-directed benchmark instance, far beyond the
+    # n <= 12 oracle.
+    g = random_graph(BenchConfig(n=600, m=2400, seed=2026, directed=True,
+                                 wmax=5))
+    d = distance_matrix(g)
+    counted = fast_apag(g, d)
+    emitted_report, emitted = emitted_pair_counts(g, d)
+    assert counted.total_count == 473435
+    assert_same_report(counted, emitted_report)
+    pairs = dict(counted.per_pair_counts)
+    assert pairs == emitted
+    assert pairs == sigma_counts(g, d)
+
+
+def test_per_pair_counts_is_a_read_only_mapping(g2):
+    counts = fast_apag(g2, distance_matrix(g2)).per_pair_counts
+    assert counts[(4, 1)] == 2
+    assert counts[(3, 1)] == 0 and (3, 1) not in counts  # unreachable
+    assert counts[(0, 1)] == 0 and counts[(1, 7)] == 0  # not vertices
+    assert (4, 1) in counts
+    keys = list(counts)
+    assert keys == sorted(keys) and len(keys) == len(counts)
+    assert sum(counts.values()) == 23
+    assert counts == dict(counts)
+    with pytest.raises(TypeError):
+        counts[(4, 1)] = 5
+
+
+def test_report_total_check_survives_optimize():
+    code = """if 1:
+        import sys
+        from collections import Counter
+        from allgeo import ApagReport
+        if not sys.flags.optimize:
+            sys.exit(3)
+        try:
+            ApagReport(5, Counter({(1, 2): 4}), 1, 1)
+        except ValueError:
+            sys.exit(0)
+        sys.exit(1)
+    """
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(allgeo.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True, timeout=30, env=env)
+    assert res.returncode == 0, res.stderr

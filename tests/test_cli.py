@@ -1,14 +1,19 @@
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from click.testing import CliRunner
 
 import allgeo
+import allgeo.cli
+from allgeo import distance_matrix, fast_apag, floyd_warshall, parse_graph
 from allgeo.cli import main
+from conftest import random_test_graph
 
 DATA = pathlib.Path(__file__).parent / "data"
 G2 = str(DATA / "g2.txt")
@@ -34,6 +39,32 @@ def test_dist_methods_agree(tmp_path):
     p3 = write_p3(tmp_path)
     outs = {m: run("dist", p3, "--method", m).output for m in ("power", "bfs", "fw")}
     assert outs["power"] == outs["bfs"] == outs["fw"]
+
+
+def test_dist_default_weighted_g2():
+    fw = floyd_warshall(parse_graph(pathlib.Path(G2).read_text()))
+    want = ["\t".join("inf" if e == float("inf") else str(e)
+                       for e in fw.rows[u][1:]) for u in range(1, fw.n + 1)]
+    for args in ((), ("--method", "auto"), ("--method", "dial")):
+        res = run("dist", G2, *args)
+        assert res.exit_code == 0, res.output
+        assert res.output.splitlines() == want
+
+
+@pytest.mark.parametrize("method,name", [("bfs", "bfs"),
+                                         ("power", "power method")])
+def test_dist_unweighted_methods_reject_weighted(method, name):
+    res = run("dist", G2, "--method", method)
+    assert res.exit_code == 1
+    assert res.output == f"error: {name} needs an unweighted graph\n"
+
+
+def test_dist_dial_rejects_rational_weights(tmp_path):
+    f = tmp_path / "half.txt"
+    f.write_text("2 1 directed weighted\n1 2 3/2\n")
+    res = run("dist", str(f), "--method", "dial")
+    assert res.exit_code == 1
+    assert res.output == "error: Dial needs positive integer arc weights\n"
 
 
 def test_dist_fw_g2_inf_row():
@@ -162,6 +193,55 @@ def test_apag_out_file(tmp_path):
     records = [json.loads(ln) for ln in out.read_text().splitlines()]
     assert len(records) == 23
     assert {"s": 1, "t": 6, "w": 7, "path": [1, 4, 5, 6]} in records
+
+
+@pytest.mark.parametrize("weight,message", [
+    ("5/2", "non-integer arc weight Fraction(5, 2)"),
+    ("0", "non-positive arc weight 0"),
+    ("-1", "non-positive arc weight -1"),
+])
+def test_apag_checks_weights_before_distances(tmp_path, monkeypatch,
+                                              weight, message):
+    f = tmp_path / "bad.txt"
+    f.write_text(f"3 2 directed weighted\n1 2 {weight}\n2 3 1\n")
+    called = []
+    monkeypatch.setattr(allgeo.cli, "distance_matrix",
+                        lambda g: called.append(g) or distance_matrix(g))
+    res = run("apag", str(f), "--counts-only")
+    assert res.exit_code == 1
+    assert res.output == f"error: {message}\n"
+    assert called == []
+
+
+def legacy_report_line(g):
+    """The report line as json.dumps of its dict form, from emitted paths."""
+    d = distance_matrix(g)
+    pairs = Counter()
+    report = fast_apag(g, d, lambda v, w: pairs.update([(v[0], v[-1])]))
+    return json.dumps({
+        "total": report.total_count,
+        "levels_built": report.levels_built,
+        "max_level_nonempty": report.max_level_nonempty,
+        "pairs": {f"{s},{t}": c for (s, t), c in sorted(pairs.items())},
+    }) + "\n"
+
+
+def test_apag_report_bytes(tmp_path):
+    rng = random.Random(121)
+    graphs = [parse_graph(pathlib.Path(G2).read_text()),
+              parse_graph("4 0 undirected unweighted\n")]
+    for directed, wmax, n, m in [(False, 1, 12, 20), (True, 3, 10, 25),
+                                 (True, 5, 14, 8), (False, 2, 9, 4)]:
+        graphs.append(random_test_graph(rng, n, m, directed, wmax))
+    for i, g in enumerate(graphs):
+        f = tmp_path / f"g{i}.txt"
+        f.write_text(allgeo.serialize_graph(g))
+        want = legacy_report_line(g)
+        counts = run("apag", str(f), "--counts-only")
+        assert counts.exit_code == 0
+        assert counts.output == want
+        out = run("apag", str(f), "--out", str(tmp_path / "geo.jsonl"))
+        assert out.output == want
 
 
 def test_oracle_pair():
